@@ -72,17 +72,19 @@ class Backend {
   virtual void drain() = 0;
 };
 
-/// Backend over one TopkServer; owns the corpus id -> span table.
+/// Backend over one TopkServer; owns the wire id -> registered corpus
+/// table. Every corpus is registered with the server, so requests reuse
+/// its corpus index instead of rebuilding delegates per admission group.
 class SingleBackend final : public Backend {
  public:
   explicit SingleBackend(serve::TopkServer& srv) : srv_(srv) {}
 
   u32 add_corpus(std::span<const u32> v) {
-    corpora_.push_back({v, {}});
+    corpora_.push_back({v, {}, srv_.register_corpus(v)});
     return static_cast<u32>(corpora_.size() - 1);
   }
   u32 add_corpus(std::span<const u64> v) {
-    corpora_.push_back({{}, v});
+    corpora_.push_back({{}, v, srv_.register_corpus(v)});
     return static_cast<u32>(corpora_.size() - 1);
   }
 
@@ -104,14 +106,8 @@ class SingleBackend final : public Backend {
                                          bool selection_only,
                                          core::FidelityPolicy f,
                                          u64 deadline_us) override {
-    const Corpus& co = corpora_[id];
-    return co.v64.empty()
-               ? srv_.submit(serve::Query::view(co.v32, k, c, selection_only,
-                                                f)
-                                 .with_deadline(deadline_us))
-               : srv_.submit(serve::Query::view(co.v64, k, c, selection_only,
-                                                f)
-                                 .with_deadline(deadline_us));
+    return srv_.submit(corpora_[id].registered, k, c, selection_only, f,
+                       deadline_us);
   }
 
   void note_service_time(const serve::PlanKey& key, u64 us) override {
@@ -134,6 +130,7 @@ class SingleBackend final : public Backend {
   struct Corpus {
     std::span<const u32> v32;
     std::span<const u64> v64;
+    serve::CorpusId registered = 0;  ///< the server's id for this corpus
   };
   serve::TopkServer& srv_;
   std::vector<Corpus> corpora_;  ///< append-only before clients connect

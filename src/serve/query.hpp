@@ -26,6 +26,8 @@ namespace drtopk::serve {
 /// Key width of a query's payload; part of the admission-group signature.
 enum class KeyWidth : u8 { k32, k64 };
 
+struct RegisteredCorpus;  // serve/corpus_index.hpp
+
 /// One top-k request: k, criterion, selection-only flag, fidelity policy
 /// and a payload that either views server-resident data or owns a shipped
 /// buffer (see the file comment). Cheaply copyable; construct via the
@@ -52,6 +54,11 @@ struct Query {
   std::span<const u64> view64;
   std::shared_ptr<const std::vector<u32>> own32;
   std::shared_ptr<const std::vector<u64>> own64;
+  /// Set by TopkServer::submit(CorpusId, ...): the registered corpus the
+  /// view* span belongs to. Its groups use the corpus's shared index
+  /// instead of building an ephemeral delegate vector; it is part of the
+  /// admission signature, so registered and plain-view queries never mix.
+  std::shared_ptr<RegisteredCorpus> corpus;
 
   /// One factory per (payload kind × key width), expressed once: K selects
   /// the width, the payload type selects view (span) vs owned (vector).

@@ -32,6 +32,7 @@
 #include <mutex>
 
 #include "obs/trace.hpp"
+#include "serve/corpus_index.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/query.hpp"
 
@@ -134,6 +135,10 @@ struct Group {
   /// deadlines differ by at most 2x, so this is representative for the
   /// whole group; maybe_finalize_group compares it against the window.
   u64 deadline_min_us = 0;
+  /// Part of the signature: the registered corpus (null for Query::view /
+  /// Query::owned). A registered group takes its delegates from the
+  /// corpus's shared index; a plain-view group builds its own.
+  std::shared_ptr<RegisteredCorpus> corpus;
 
   u64 seq = 0;          ///< admission order (1-based); trace span grouping
   u64 park_ts_us = 0;   ///< tracer timestamp when the group parked in the
@@ -161,6 +166,10 @@ struct Group {
   u64 plan_exec_ws = 0;        ///< recorded per-query peak: every executor
                                ///< claiming an item presizes to it first
   bool has_delegates = false;  ///< shared construction succeeded
+  /// Registered corpora: the shared index the delegate vector, directed
+  /// keys and every member's kappa come from (held for the group's life,
+  /// so unregistration cannot free it under a running group).
+  std::shared_ptr<const CorpusIndex> index;
   /// Backing storage for the group-shared delegate vector and directed
   /// keys: a pooled workspace leased for the group's lifetime and recycled
   /// (capacity retained) when the last item finishes — steady state leases
@@ -216,7 +225,7 @@ struct Group {
   bool compatible(const Query& q) const {
     return q.data_id() == data_id && q.n() == n && q.width() == width &&
            q.criterion == criterion && q.fidelity == fidelity &&
-           q.deadline_class() == deadline_class;
+           q.deadline_class() == deadline_class && q.corpus == corpus;
   }
 };
 
@@ -450,6 +459,7 @@ class AdmissionQueue {
       g->fidelity = p.query.fidelity;
       g->deadline_class = p.query.deadline_class();
       g->deadline_min_us = ddl;
+      g->corpus = p.query.corpus;
       g->items.push_back(std::move(p));
       queue_.push_back(std::move(g));
       if (tracer_) tracer_->instant(0, "group-open", qid, gseq);

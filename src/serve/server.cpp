@@ -73,6 +73,7 @@ TopkServer::TopkServer(vgpu::Device& dev, ServerConfig cfg)
     : dev_(dev),
       cfg_(cfg),
       plans_(cfg.plan),
+      corpora_(registry_),
       tracer_(cfg.obs.tracing, std::max(1u, cfg.executors) + 1,
               cfg.obs.trace_capacity),
       queue_(cfg.batch_max, cfg.max_in_flight, &tracer_),
@@ -131,6 +132,24 @@ std::future<QueryResult> TopkServer::submit(Query q) {
   return queue_.submit(std::move(q));
 }
 
+void TopkServer::unregister_corpus(CorpusId id) {
+  if (!corpora_.remove(id))
+    throw std::invalid_argument("TopkServer: unknown corpus id");
+}
+
+Query TopkServer::registered_query(CorpusId id, u64 k,
+                                   data::Criterion criterion,
+                                   bool selection_only,
+                                   core::FidelityPolicy fidelity) const {
+  std::shared_ptr<RegisteredCorpus> c = corpora_.find(id);
+  if (!c) throw std::invalid_argument("TopkServer: unknown corpus id");
+  Query q = c->v64.empty()
+                ? Query::view(c->v32, k, criterion, selection_only, fidelity)
+                : Query::view(c->v64, k, criterion, selection_only, fidelity);
+  q.corpus = std::move(c);
+  return q;
+}
+
 std::vector<QueryResult> TopkServer::run_batch(std::vector<Query> queries) {
   for (const auto& q : queries) validate(q);
   auto futures = queue_.submit_many(std::move(queries));
@@ -146,6 +165,9 @@ ServerStats TopkServer::stats() const {
   ServerStats s = collector_.snapshot();
   s.plan_hits = plans_.hits();
   s.plan_misses = plans_.misses();
+  s.index_builds = corpora_.builds();
+  s.index_hits = corpora_.hits();
+  s.index_bytes = corpora_.bytes();
   return s;
 }
 
@@ -299,9 +321,11 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
 
   // Shared construction: one delegate vector serves every query of the
   // group. Sized for the largest k so dv.size() >= k holds for all items.
-  // Its storage lives in a pooled workspace leased for the group's
-  // lifetime (executor workspaces rewind per query; the group's delegate
-  // vector must not).
+  // A registered corpus takes it from the corpus index (built here only on
+  // the index's first use); a plain view builds it in a pooled workspace
+  // leased for the group's lifetime (executor workspaces rewind per query;
+  // the group's delegate vector must not). Either way the group arena
+  // holds the members' candidate spans.
   core::DrTopkConfig planned = base;
   planned.alpha = g.plan.alpha;
   planned.beta = g.plan.beta;
@@ -312,42 +336,56 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
     // (first-touch locality groundwork for NUMA pinning).
     g.ws = group_ws_.acquire(group_ws_reserve, executor_id);
     g.ws->reset_peak();  // measure THIS shape's construction footprint
-    topk::Accum acc(dev_);
-    std::span<const Key> keyspan;
-    {
+    core::ConstructOpts copts = cfg_.base.construct;
+    if (cfg_.base.fused_concat) copts.emit_sids = false;
+    if (g.corpus) {
+      // The index build (first use only) charges construct + first into
+      // this group's setup stages, once; every later group pays nothing.
+      g.index = corpora_.index_for<T>(dev_, *g.corpus, g.criterion, alpha,
+                                      beta, copts, &g.setup_stages);
+      group_dv<Key>(g) = g.index->delegates<Key>();
+      g.keys_materialized = g.index->keys_materialized;
+      if (g.keys_materialized) group_keys<Key>(g) = g.index->keys<Key>();
+      g.setup_sim_ms = g.setup_stages.construct_ms + g.setup_stages.first_ms;
+    } else {
+      topk::Accum acc(dev_);
       // Key conversion + shared delegate construction are the group's
       // phase-A pass: both charge to "construct".
       vgpu::StageScope construct("construct");
-      if (topk::key_is_identity<T>(g.criterion)) {
-        keyspan = values;  // Key == T for u32/u64
-      } else {
+      if (!topk::key_is_identity<T>(g.criterion)) {
         group_keys<Key>(g) =
             topk::make_directed_keys(acc, values, g.criterion, *g.ws);
         g.keys_materialized = true;
-        keyspan = group_keys<Key>(g);
       }
-      core::ConstructOpts copts = cfg_.base.construct;
-      if (cfg_.base.fused_concat) copts.emit_sids = false;
-      group_dv<Key>(g) = core::build_delegate_vector<Key>(acc, keyspan,
-                                                          alpha, beta, copts,
-                                                          *g.ws);
+      group_dv<Key>(g) = core::build_delegate_vector<Key>(
+          acc,
+          g.keys_materialized ? group_keys<Key>(g)
+                              : std::span<const Key>(values),
+          alpha, beta, copts, *g.ws);
+      g.setup_sim_ms = acc.sim_ms();
+      g.setup_stages.construct_ms = acc.sim_ms();
+      g.setup_stages.construct_stats = acc.stats();
     }
+    const std::span<const Key> keyspan =
+        g.keys_materialized ? group_keys<Key>(g)
+                            : std::span<const Key>(values);  // Key == T
     g.has_delegates = true;
     g.plan.alpha = alpha;
     g.plan.beta = beta;
-    g.setup_sim_ms = acc.sim_ms();
-    g.setup_stages.construct_ms = acc.sim_ms();
-    g.setup_stages.construct_stats = acc.stats();
-    executor_work += acc.sim_ms();
+    executor_work += g.setup_sim_ms;
 
-    // Batched stage 2: ONE launch resolves the exact threshold kappa for
-    // every distinct feasible k of the setup snapshot. All segments view
-    // the same delegate vector, so the batched engine sorts it once and
-    // emits each k's k-th key — N same-corpus selections for the price of
-    // one sort. Per-query execution then skips its own first top-k.
-    // Same gate as run_item_typed's deferral: if no member will consume
-    // the batched kappas, don't pay the launch.
-    if (batched_eligible(core::apply_plan(base, g.plan))) {
+    // Batched stage 2: the exact threshold kappa for every distinct
+    // feasible k of the setup snapshot. An index answers each with a
+    // lookup (kappa = sorted[k-1]); a plain view pays ONE launch — all
+    // segments view the same delegate vector, so the batched engine sorts
+    // it once and emits each k's k-th key. Per-query execution then skips
+    // its own first top-k. Same gate as run_item_typed's deferral: if no
+    // member will consume the batched kappas, don't pay the launch.
+    // Recall-target groups on an index need nothing here: each member
+    // copies its answer from the sorted delegates (run_item_typed).
+    const bool approx_group = !g.fidelity.exact();
+    if (batched_eligible(core::apply_plan(base, g.plan)) &&
+        !(g.index && approx_group)) {
       // Exactly the ks the per-item path will serve from the shared
       // delegate vector (run_item_typed's fused condition).
       std::vector<u64> ks;
@@ -355,20 +393,26 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
         if (k > group_dv<Key>(g).size()) continue;
         if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
       }
-      if (!ks.empty()) {
-        const auto& dvk = group_dv<Key>(g).keys;
-        std::span<const Key> dkeys(dvk.data(), dvk.size());
+      const auto& dvk = group_dv<Key>(g).keys;
+      std::span<const Key> dkeys(dvk.data(), dvk.size());
+      if (!ks.empty() && g.index) {
+        const auto& sorted = g.index->sorted<Key>();
+        for (const u64 k : ks) {
+          g.kappa_ks.push_back(k);
+          g.kappa_vals.push_back(static_cast<u64>(sorted[k - 1]));
+        }
+      } else if (!ks.empty()) {
         // Recall-target groups: the per-partition answer IS the top-k of
         // the delegate vector, so the batched stage-2 launch asks for the
         // full sorted top-k per distinct k (selection_only=false) instead
         // of just the threshold — the same one launch then doubles as the
         // whole group's stage 3 AND stage 4 (see the approx branch below).
-        const bool approx_group = !g.fidelity.exact();
         std::vector<topk::BatchedSegment<Key>> segs;
         segs.reserve(ks.size());
         for (const u64 k : ks)
           segs.push_back({dkeys, k, k, /*selection_only=*/!approx_group});
-        // The batched kappa launch is the group's shared first top-k.
+        // The batched kappa launch is the group's shared first top-k; its
+        // scope closes before the classify/concat pair below opens its own.
         vgpu::StageScope first("first");
         topk::Accum acc2(dev_);
         auto br = topk::batched_topk<Key>(
@@ -411,66 +455,66 @@ void TopkServer::setup_group_typed(Group& g, u32 executor_id) {
             g.stage3.push_back(e);
           }
         }
-        // Group-wide batched stage 3 (PR 8): the kappas above are exact,
-        // so every member's classification is already decidable — run the
-        // whole group's classify + concat as ONE launch pair over the
-        // shared delegate vector (core/concat_batched.hpp). Per-subrange
-        // scratch is executor-arena transient; the candidate spans land in
-        // the group arena, where the deferred finalization machinery
-        // consumes them (identical ks share a span, and batched_topk
-        // coalesces same-span segments into one sort). Items whose k was
-        // precomputed then launch NOTHING. (Approx groups staged their
-        // entries above — the classify/concat pass has nothing left to
-        // compute for them.)
-        if (!approx_group && cfg_.batched_concat) {
-          vgpu::StageScope concat("concat");
-          topk::Accum acc3(dev_);
-          const u64 S = group_dv<Key>(g).num_subranges;
-          ews.reset_peak();  // record the batched classify scratch footprint
-          vgpu::Workspace::Scope scratch(ews);
-          std::vector<core::BatchedConcatSegment<Key>> csegs(ks.size());
-          for (size_t i = 0; i < ks.size(); ++i) {
-            csegs[i].kappa = static_cast<Key>(g.kappa_vals[i]);
-            csegs[i].taken = ews.alloc<u8>(S);
-            csegs[i].qualified = ews.alloc<u32>(S);
-            csegs[i].partial = ews.alloc<u32>(S);
-          }
-          std::span<core::BatchedConcatSegment<Key>> cspan(csegs);
-          core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
-                                                g.plan.alpha, g.n, cspan);
-          for (size_t i = 0; i < ks.size(); ++i)
-            csegs[i].cand = g.ws->alloc<Key>(core::batched_concat_capacity(
-                csegs[i], S, beta, g.plan.alpha, g.n));
-          core::concat_candidates_batched<Key>(
-              acc3, keyspan, dkeys, beta, g.plan.alpha,
-              core::apply_plan(cfg_.base, g.plan).filtering, cspan);
-          for (size_t i = 0; i < ks.size(); ++i) {
-            Group::Stage3Entry e;
-            e.k = ks[i];
-            e.cand_count = csegs[i].cand_count;
-            e.taken_total = csegs[i].taken_total;
-            e.qualified = csegs[i].qualified_count;
-            // Rule-3 fast path: exactly k delegates met kappa and no
-            // subrange fully qualified — the candidates ARE the answer.
-            e.second_skipped =
-                csegs[i].qualified_count == 0 && csegs[i].taken_total == e.k;
-            std::span<const Key> cand(csegs[i].cand.data(),
-                                      csegs[i].cand_count);
-            if constexpr (std::is_same_v<Key, u64>)
-              e.cand64 = cand;
-            else
-              e.cand32 = cand;
-            g.stage3.push_back(e);
-          }
-          g.setup_sim_ms += acc3.sim_ms();
-          g.setup_stages.concat_ms = acc3.sim_ms();
-          g.setup_stages.concat_stats = acc3.stats();
-          executor_work += acc3.sim_ms();
-          // The wider batched staging arrays raise the plan's executor-
-          // workspace high-water mark; re-record so future groups of this
-          // shape presize instead of growing.
-          plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
+      }
+      // Group-wide batched stage 3: the kappas above are exact,
+      // so every member's classification is already decidable — run the
+      // whole group's classify + concat as ONE launch pair over the
+      // shared delegate vector (core/concat_batched.hpp). Per-subrange
+      // scratch is executor-arena transient; the candidate spans land in
+      // the group arena, where the deferred finalization machinery
+      // consumes them (identical ks share a span, and batched_topk
+      // coalesces same-span segments into one sort). Items whose k was
+      // precomputed then launch NOTHING. (Approx groups staged their
+      // entries above — the classify/concat pass has nothing left to
+      // compute for them.)
+      if (!ks.empty() && !approx_group && cfg_.batched_concat) {
+        vgpu::StageScope concat("concat");
+        topk::Accum acc3(dev_);
+        const u64 S = group_dv<Key>(g).num_subranges;
+        ews.reset_peak();  // record the batched classify scratch footprint
+        vgpu::Workspace::Scope scratch(ews);
+        std::vector<core::BatchedConcatSegment<Key>> csegs(ks.size());
+        for (size_t i = 0; i < ks.size(); ++i) {
+          csegs[i].kappa = static_cast<Key>(g.kappa_vals[i]);
+          csegs[i].taken = ews.alloc<u8>(S);
+          csegs[i].qualified = ews.alloc<u32>(S);
+          csegs[i].partial = ews.alloc<u32>(S);
         }
+        std::span<core::BatchedConcatSegment<Key>> cspan(csegs);
+        core::classify_subranges_batched<Key>(acc3, dkeys, S, beta,
+                                              g.plan.alpha, g.n, cspan);
+        for (size_t i = 0; i < ks.size(); ++i)
+          csegs[i].cand = g.ws->alloc<Key>(core::batched_concat_capacity(
+              csegs[i], S, beta, g.plan.alpha, g.n));
+        core::concat_candidates_batched<Key>(
+            acc3, keyspan, dkeys, beta, g.plan.alpha,
+            core::apply_plan(cfg_.base, g.plan).filtering, cspan);
+        for (size_t i = 0; i < ks.size(); ++i) {
+          Group::Stage3Entry e;
+          e.k = ks[i];
+          e.cand_count = csegs[i].cand_count;
+          e.taken_total = csegs[i].taken_total;
+          e.qualified = csegs[i].qualified_count;
+          // Rule-3 fast path: exactly k delegates met kappa and no
+          // subrange fully qualified — the candidates ARE the answer.
+          e.second_skipped =
+              csegs[i].qualified_count == 0 && csegs[i].taken_total == e.k;
+          std::span<const Key> cand(csegs[i].cand.data(),
+                                    csegs[i].cand_count);
+          if constexpr (std::is_same_v<Key, u64>)
+            e.cand64 = cand;
+          else
+            e.cand32 = cand;
+          g.stage3.push_back(e);
+        }
+        g.setup_sim_ms += acc3.sim_ms();
+        g.setup_stages.concat_ms = acc3.sim_ms();
+        g.setup_stages.concat_stats = acc3.stats();
+        executor_work += acc3.sim_ms();
+        // The wider batched staging arrays raise the plan's executor-
+        // workspace high-water mark; re-record so future groups of this
+        // shape presize instead of growing.
+        plans_.note_workspace(g.plan_key, 0, ews.peak_bytes());
       }
     }
     plans_.note_workspace(g.plan_key, g.ws->peak_bytes(), 0);
@@ -483,6 +527,7 @@ void TopkServer::execute_item(Group& g, Pending& p, u64 amortize_over,
   bool deferred = false;
   try {
     if (!p.query.fidelity.exact()) collector_.record_approx();
+    if (amortize_over == 0) collector_.record_late_joiner();
     vgpu::Workspace& ws = *exec_ws_[executor_id];
     if (g.plan_exec_ws) ws.reserve_bytes(g.plan_exec_ws);
     ws.reset_peak();  // per-query footprint, not this arena's lifetime peak
@@ -816,7 +861,29 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
   cfg.fidelity = q.fidelity;
 
   core::StageBreakdown bd;
-  if (g.has_delegates && group_dv<Key>(g).size() >= q.k) {
+  const bool fits = g.has_delegates && group_dv<Key>(g).size() >= q.k;
+  if (fits && g.index && !q.fidelity.exact()) {
+    // Recall-target query on a registered corpus: the per-partition answer
+    // is the top-k of the delegate vector, i.e. the index's sorted prefix.
+    // A host copy, no launch; the latency is the setup share alone.
+    const auto& sorted = g.index->sorted<Key>();
+    out.fused = g.setup_items > 1 || amortize_over == 0;
+    if (amortize_over > 0)
+      out.latency_sim_ms = g.setup_sim_ms / static_cast<double>(amortize_over);
+    bd.alpha = g.plan.alpha;
+    bd.beta = g.plan.beta;
+    bd.delegate_len = group_dv<Key>(g).size();
+    bd.num_subranges = group_dv<Key>(g).num_subranges;
+    bd.concat_len = q.k;
+    bd.taken_delegates = q.k;
+    bd.second_skipped = true;
+    const u64 first = q.selection_only ? q.k - 1 : 0;
+    out.values.reserve(q.k - first);
+    for (u64 i = first; i < q.k; ++i)
+      out.values.push_back(static_cast<u64>(
+          data::value_from_directed_key<T>(sorted[i], q.criterion)));
+    out.kth = out.values.back();
+  } else if (fits) {
     const std::span<const T> values = query_data<T>(q);
     std::span<const Key> keyspan = g.keys_materialized
                                        ? group_keys<Key>(g)
@@ -965,6 +1032,14 @@ QueryResult TopkServer::run_item_typed(Group& g, Pending& p, u64 amortize_over,
             std::lock_guard lk(g.batch_mu);
             return g.ws->alloc<Key>(cap);
           };
+          dsp = &dsec;
+        }
+        if (g.index && !cfg.kappa_hook) {
+          // Registered corpus: any k's exact kappa is a lookup, so late
+          // joiners skip their first top-k too (without alloc_cand the
+          // struct is a kappa-only channel for ineligible plans).
+          dsec.have_kappa = true;
+          dsec.kappa = g.index->sorted<Key>()[q.k - 1];
           dsp = &dsec;
         }
         auto r = core::dr_topk_from_delegates<Key>(dev_, keyspan, q.k,

@@ -2,9 +2,11 @@
 //
 //   vgpu::Device dev;
 //   serve::TopkServer server(dev);
-//   auto f1 = server.submit(serve::Query::view(corpus, 100));
-//   auto f2 = server.submit(serve::Query::view(corpus, 10, Criterion::kLargest,
-//                                              /*selection_only=*/true));
+//   serve::CorpusId id = server.register_corpus(corpus);  // resident data
+//   auto f1 = server.submit(id, 100);
+//   auto f2 = server.submit(id, 10, Criterion::kLargest,
+//                           /*selection_only=*/true);
+//   auto f3 = server.submit(serve::Query::owned(payload, 50));  // ad hoc
 //   auto r = f1.get();   // exact top-k, same bits as core::dr_topk
 //
 // Architecture (the seam every scaling PR plugs into):
@@ -17,6 +19,11 @@
 //               the whole group; then all executors cooperatively drain the
 //               group's queries through core::dr_topk_from_delegates on the
 //               shared Device (whose thread pool multiplexes the kernels).
+//
+// Registered corpora (serve/corpus_index.hpp) go one step further: their
+// delegate vector and sorted delegates are built once per (alpha, beta,
+// direction) and shared by every group, so a group's setup on a registered
+// corpus launches no construction and no first top-k at all.
 //
 // Batching wins because delegate construction — the dominant stage of the
 // pipeline (Figure 15) — is paid once per group instead of once per query;
@@ -145,6 +152,39 @@ class TopkServer {
   /// Admits a query; blocks while max_in_flight queries are pending.
   std::future<QueryResult> submit(Query q);
 
+  /// Registers a resident corpus. The span must stay alive and unchanged
+  /// until unregister_corpus() and every query submitted against it are
+  /// done. Its index is built on first use per (alpha, beta, direction).
+  CorpusId register_corpus(std::span<const u32> v) { return corpora_.add(v); }
+  CorpusId register_corpus(std::span<const u64> v) { return corpora_.add(v); }
+
+  /// Drops a registration. Queries already submitted still complete
+  /// correctly; the index is freed once the last group using it ends.
+  /// Throws std::invalid_argument for an unknown id.
+  void unregister_corpus(CorpusId id);
+
+  /// A query over a registered corpus, for submit() or run_batch(): like
+  /// Query::view(...) with the same arguments, but its group takes kappa
+  /// from the corpus index (no per-group construction or first top-k) and
+  /// a recall-target answer is read off the sorted delegates. Throws
+  /// std::invalid_argument for an unknown id.
+  Query registered_query(CorpusId id, u64 k,
+                         data::Criterion criterion = data::Criterion::kLargest,
+                         bool selection_only = false,
+                         core::FidelityPolicy fidelity = {}) const;
+
+  /// submit(registered_query(...).with_deadline(deadline_us)). Throws
+  /// std::invalid_argument for an unknown id or k outside [1, |V|].
+  std::future<QueryResult> submit(CorpusId id, u64 k,
+                                  data::Criterion criterion =
+                                      data::Criterion::kLargest,
+                                  bool selection_only = false,
+                                  core::FidelityPolicy fidelity = {},
+                                  u64 deadline_us = 0) {
+    return submit(registered_query(id, k, criterion, selection_only, fidelity)
+                      .with_deadline(deadline_us));
+  }
+
   /// Convenience: submit a whole batch and wait for every result, returned
   /// in submission order.
   std::vector<QueryResult> run_batch(std::vector<Query> queries);
@@ -252,6 +292,9 @@ class TopkServer {
   /// Declared before queue_/collector_: the queue holds a tracer pointer
   /// and the collector registers its metrics here (member init order).
   obs::Registry registry_;
+  /// After registry_: its serve_index_* metrics live there (the registry
+  /// detaches its gauge on destruction, so index lifetimes need no order).
+  CorpusRegistry corpora_;
   obs::Tracer tracer_;
   obs::Histogram* queue_wait_us_ = nullptr;  ///< admission -> claim (us)
   obs::Histogram* group_size_ = nullptr;     ///< queries per admission group

@@ -70,6 +70,14 @@ struct ServerStats {
                               ///< (recall-target queries never re-threshold)
   u64 approx_queries = 0;     ///< queries executed under a recall target
                               ///< (FidelityPolicy not exact)
+  u64 late_joiners = 0;  ///< queries that joined their group after its
+                         ///< setup snapshot (kappa not pre-resolved: a
+                         ///< lookup on a registered corpus, their own
+                         ///< first top-k otherwise)
+  u64 index_builds = 0;  ///< corpus indexes built (serve_index_builds_total);
+                         ///< flat in steady state — a rise means a rebuild
+  u64 index_hits = 0;    ///< group setups served by a built index
+  u64 index_bytes = 0;   ///< bytes held by live corpus indexes
   u64 recall_samples = 0;     ///< oracle-measured recall samples recorded
   double recall_mean = 0.0;   ///< mean measured recall over those samples
                               ///< (1.0 when no sample was recorded)
@@ -157,6 +165,9 @@ class StatsCollector {
         m_approx_(reg.counter(
             "serve_approx_queries",
             "Queries executed under a recall-target fidelity policy")),
+        m_late_(reg.counter(
+            "serve_late_joiners",
+            "Queries that joined their group after its setup snapshot")),
         recall_bp_(reg.histogram(
             "serve_recall_measured_bp",
             "Oracle-measured recall per sampled query (basis points)")) {}
@@ -268,6 +279,14 @@ class StatsCollector {
     ++approx_queries_;
   }
 
+  /// One query executed as a late joiner of its group (admitted after
+  /// the setup snapshot, so setup resolved nothing for it).
+  void record_late_joiner() {
+    m_late_.add();
+    std::lock_guard lk(mu_);
+    ++late_joiners_;
+  }
+
   /// One oracle-measured recall sample in [0, 1] (the oracle — an exact
   /// reference top-k — lives with the caller: benches and tests compute it
   /// and feed the measurement back). Exported as basis points so the
@@ -328,6 +347,7 @@ class StatsCollector {
       s.relax_guard_trips = stages_.guard_trips;
       s.relax_guard_skips = stages_.guard_skips;
       s.approx_queries = approx_queries_;
+      s.late_joiners = late_joiners_;
       s.recall_samples = recall_samples_;
       s.recall_mean = recall_samples_
                           ? recall_sum_ / static_cast<double>(recall_samples_)
@@ -379,6 +399,7 @@ class StatsCollector {
   u64 window_early_flushes_ = 0;
   u64 window_deadline_bypasses_ = 0;
   u64 approx_queries_ = 0;
+  u64 late_joiners_ = 0;
   u64 recall_samples_ = 0;
   double recall_sum_ = 0.0;
 
@@ -401,6 +422,7 @@ class StatsCollector {
   obs::Counter& m_guard_trips_;
   obs::Counter& m_guard_skips_;
   obs::Counter& m_approx_;
+  obs::Counter& m_late_;
   obs::Histogram& recall_bp_;
 };
 

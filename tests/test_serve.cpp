@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
+#include <map>
 #include <thread>
 
 #include "data/distributions.hpp"
@@ -924,6 +926,376 @@ TEST(Serve, FallbackWhenDelegationInfeasible) {
   auto r = server.submit(Query::view(vs, 1800)).get();
   EXPECT_EQ(r.values, widen(reference_topk(vs, 1800)));
   EXPECT_FALSE(r.fused);
+}
+
+// ---- Registered corpora: the corpus index --------------------------------
+
+/// std::sort oracle: the k best values under `c`, best-first, widened.
+template <class T>
+std::vector<u64> sorted_best(std::span<const T> vs, u64 k, Criterion c) {
+  std::vector<T> v(vs.begin(), vs.end());
+  if (c == Criterion::kLargest)
+    std::sort(v.begin(), v.end(), std::greater<T>());
+  else
+    std::sort(v.begin(), v.end());
+  return {v.begin(), v.begin() + static_cast<i64>(k)};
+}
+
+/// Oracle of the recall-target answer: the k best per-subrange bests
+/// (subranges of 2^alpha elements), i.e. the top-k of the beta=1 delegates.
+template <class T>
+std::vector<u64> delegate_best(std::span<const T> v, int alpha, u64 k,
+                               Criterion c) {
+  std::vector<T> best;
+  const u64 len = u64{1} << alpha;
+  for (u64 lo = 0; lo < v.size(); lo += len) {
+    const auto b = v.begin() + static_cast<i64>(lo);
+    const auto e = v.begin() + static_cast<i64>(std::min<u64>(lo + len,
+                                                              v.size()));
+    best.push_back(c == Criterion::kLargest ? *std::max_element(b, e)
+                                            : *std::min_element(b, e));
+  }
+  return sorted_best(std::span<const T>(best), std::min<u64>(k, best.size()),
+                     c);
+}
+
+/// The expected answer of one query: exact -> std::sort prefix; recall
+/// target -> the delegate oracle at the alpha the server reported (a
+/// direct fallback is exact); selection-only keeps just the k-th value.
+/// Sorts once per corpus and once per alpha.
+template <class T>
+struct Oracle {
+  Oracle(std::span<const T> values, Criterion crit)
+      : v(values), c(crit), all(sorted_best(values, values.size(), crit)) {}
+
+  std::vector<u64> expected(const QueryResult& r, u64 k, bool approx,
+                            bool sel) {
+    const std::vector<u64>* src = &all;
+    if (approx && !r.breakdown.fallback_direct) {
+      auto it = bests.find(r.breakdown.alpha);
+      if (it == bests.end())
+        it = bests
+                 .emplace(r.breakdown.alpha,
+                          delegate_best(v, r.breakdown.alpha, v.size(), c))
+                 .first;
+      src = &it->second;
+    }
+    if (k > src->size()) return {};
+    std::vector<u64> e(src->begin(), src->begin() + static_cast<i64>(k));
+    if (sel) e = {e.back()};
+    return e;
+  }
+
+  std::span<const T> v;
+  Criterion c;
+  std::vector<u64> all;                    ///< every value, best-first
+  std::map<int, std::vector<u64>> bests;   ///< per-subrange bests by alpha
+};
+
+/// Registered answers against the std::sort oracle and against the same
+/// queries sent as Query::view, over k in {1, |D|-1, |D|, |D|+1, n-1, n},
+/// both selection modes, as one setup snapshot and again as streamed late
+/// joiners.
+template <class T>
+void registered_oracle_case(Criterion c, bool approx, bool all_equal,
+                            u64 seed) {
+  const u64 n = (u64{1} << 16) + 37;  // ragged last subrange
+  std::vector<T> v(n);
+  for (u64 i = 0; i < n; ++i)
+    v[i] = all_equal ? T{42} : static_cast<T>(data::rand_u64(seed, i));
+  const std::span<const T> vs(v.data(), v.size());
+  Oracle<T> oracle(vs, c);
+
+  const int alpha = 6;
+  const u64 beta = approx ? 1 : 2;
+  const u64 D = ((n + 63) >> alpha) * beta;  // |D| of a group built at k <= |D|
+  const core::FidelityPolicy f =
+      approx ? core::FidelityPolicy::approx(0.9) : core::FidelityPolicy{};
+
+  ServerConfig cfg;
+  cfg.executors = 2;
+  cfg.batch_max = 16;
+  cfg.base.alpha = alpha;
+  TopkServer server(shared_device(), cfg);
+  const CorpusId id = server.register_corpus(vs);
+
+  struct Case {
+    u64 k;
+    bool sel;
+  };
+  std::vector<Case> cases;
+  for (u64 k : {u64{1}, D - 1, D, D + 1, n - 1, n})
+    for (bool sel : {false, true}) cases.push_back({k, sel});
+  const std::string what = std::string(sizeof(T) == 8 ? "u64" : "u32") +
+                           (c == Criterion::kLargest ? " largest" : " smallest") +
+                           (approx ? " recall" : " exact") +
+                           (all_equal ? " all-equal" : "");
+
+  // One atomic batch: every case is a member of the setup snapshot.
+  std::vector<Query> reg, views;
+  for (const Case& cs : cases) {
+    reg.push_back(server.registered_query(id, cs.k, c, cs.sel, f));
+    views.push_back(Query::view(vs, cs.k, c, cs.sel, f));
+  }
+  const auto rr = server.run_batch(reg);
+  const auto vr = server.run_batch(views);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& cs = cases[i];
+    EXPECT_EQ(rr[i].values, vr[i].values) << what << " k=" << cs.k;
+    EXPECT_EQ(rr[i].kth, vr[i].kth) << what << " k=" << cs.k;
+    EXPECT_EQ(rr[i].values, oracle.expected(rr[i], cs.k, approx, cs.sel))
+        << what << " k=" << cs.k << " sel=" << cs.sel;
+  }
+
+  EXPECT_EQ(server.stats().failed, 0u);
+
+  // Late joiners: one executor gets a group whose snapshot is {k = n-1,
+  // k = 1} (admitted atomically by run_batch). Setup builds for k = 1; the
+  // executor then claims the k = n-1 member first — a slow direct top-k —
+  // and the group stays open while it runs, so queries submitted now join
+  // after the setup snapshot. Their kappa comes from the index, and
+  // k = |D|+1 takes the per-query fallback. The pause before submitting
+  // grows per attempt until every case joined late.
+  u64 late = 0;
+  for (int attempt = 0; attempt < 6 && late < cases.size(); ++attempt) {
+    ServerConfig one = cfg;
+    one.executors = 1;
+    TopkServer solo(shared_device(), one);
+    const CorpusId sid = solo.register_corpus(vs);
+    (void)solo.submit(sid, 1, c, false, f).get();  // warm plan + index
+    const u64 late0 = solo.stats().late_joiners;
+    auto snapshot = std::async(std::launch::async, [&] {
+      return solo.run_batch({solo.registered_query(sid, n - 1, c, false, f),
+                             solo.registered_query(sid, 1, c, false, f)});
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(200 << attempt));
+    std::vector<std::future<QueryResult>> rf;
+    for (const Case& cs : cases)
+      rf.push_back(solo.submit(sid, cs.k, c, cs.sel, f));
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const Case& cs = cases[i];
+      const QueryResult r = rf[i].get();
+      EXPECT_EQ(r.values, oracle.expected(r, cs.k, approx, cs.sel))
+          << what << " late k=" << cs.k << " sel=" << cs.sel;
+      if (r.breakdown.alpha == rr[i].breakdown.alpha)
+        EXPECT_EQ(r.values, vr[i].values) << what << " late k=" << cs.k;
+    }
+    (void)snapshot.get();
+    late = std::max(late, solo.stats().late_joiners - late0);
+  }
+  EXPECT_GE(late, 1u) << what;
+}
+
+TEST(Serve, RegisteredCorpusOracleMatrix) {
+  u64 seed = 701;
+  for (Criterion c : {Criterion::kLargest, Criterion::kSmallest}) {
+    for (bool approx : {false, true}) {
+      registered_oracle_case<u32>(c, approx, false, seed++);
+      registered_oracle_case<u64>(c, approx, false, seed++);
+      registered_oracle_case<u32>(c, approx, true, seed++);
+    }
+  }
+}
+
+/// Per-stage launches from a device's ledger.
+std::map<std::string, u64> ledger(const vgpu::Device& dev) {
+  std::map<std::string, u64> out;
+  for (const auto& st : dev.stage_stats())
+    out[st.stage] = st.stats.kernels_launched;
+  return out;
+}
+
+/// Runs one warmed round of `batch` and checks that the device ledger's
+/// per-stage launch deltas equal the server's counters; returns the
+/// ledger delta.
+std::map<std::string, u64> pinned_round(TopkServer& server,
+                                        const vgpu::Device& dev,
+                                        const std::vector<Query>& batch) {
+  (void)server.run_batch(batch);  // warm: plans calibrate, indexes build
+  (void)server.run_batch(batch);
+  const auto l0 = ledger(dev);
+  const ServerStats s0 = server.stats();
+  (void)server.run_batch(batch);
+  auto l1 = ledger(dev);
+  const ServerStats s1 = server.stats();
+  for (auto& [stage, n] : l1) n -= l0.count(stage) ? l0.at(stage) : 0;
+  const auto launches = [](const vgpu::KernelStats& a,
+                           const vgpu::KernelStats& b) {
+    return a.kernels_launched - b.kernels_launched;
+  };
+  EXPECT_EQ(s1.groups - s0.groups, 1u);
+  EXPECT_EQ(l1["construct"],
+            launches(s1.stages.construct_stats, s0.stages.construct_stats));
+  EXPECT_EQ(l1["first"],
+            launches(s1.stages.first_stats, s0.stages.first_stats));
+  EXPECT_EQ(l1["concat"], s1.concat_launches - s0.concat_launches);
+  EXPECT_EQ(l1["second"], s1.finalize_launches - s0.finalize_launches);
+  EXPECT_EQ(dev.unattributed_launches(), 0u);
+  return l1;
+}
+
+TEST(Serve, StageLedgerMatchesServerCountersOnBothPaths) {
+  // The device ledger and ServerStats are two views of the same launches:
+  // per stage, over one warmed group, they must agree — on the ephemeral
+  // (Query::view) path and on the registered-corpus path.
+  const u64 n = 1 << 16;
+  auto v = data::generate(n, Distribution::kUniform, 211);
+  std::span<const u32> vs(v.data(), v.size());
+  ServerConfig cfg;
+  cfg.executors = 1;  // deterministic grouping: one group per batch
+  cfg.batch_max = 16;
+
+  {
+    vgpu::Device dev(vgpu::GpuProfile::v100s());
+    TopkServer server(dev, cfg);
+    std::vector<Query> batch;
+    for (u64 i = 0; i < 16; ++i)
+      batch.push_back(Query::view(vs, 32 * (i + 1)));
+    const auto l = pinned_round(server, dev, batch);
+    EXPECT_EQ(l.at("construct"), 1u);  // the group's delegate build
+    EXPECT_EQ(l.at("first"), 1u);      // the batched kappa launch
+    EXPECT_EQ(l.at("concat"), 2u);     // ONE classify + concat pair
+  }
+  {
+    vgpu::Device dev(vgpu::GpuProfile::v100s());
+    TopkServer server(dev, cfg);
+    const CorpusId id = server.register_corpus(vs);
+    std::vector<Query> batch;
+    for (u64 i = 0; i < 16; ++i)
+      batch.push_back(server.registered_query(id, 32 * (i + 1)));
+    auto l = pinned_round(server, dev, batch);
+    EXPECT_EQ(l["construct"], 0u);  // the index holds the delegates
+    EXPECT_EQ(l["first"], 0u);      // every kappa is a lookup
+    EXPECT_EQ(l["concat"], 2u);
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.index_builds, 1u);
+    EXPECT_EQ(s.index_hits, s.groups - 1);
+    EXPECT_GT(s.index_bytes, 0u);
+  }
+}
+
+TEST(Serve, RegisteredRecallGroupLaunchesNothing) {
+  // A recall-target group on a registered corpus copies every answer from
+  // the index's sorted delegates: after the build, no launch at all.
+  const u64 n = 1 << 16;
+  auto v = data::generate(n, Distribution::kUniform, 213);
+  std::span<const u32> vs(v.data(), v.size());
+  vgpu::Device dev(vgpu::GpuProfile::v100s());
+  ServerConfig cfg;
+  cfg.executors = 1;
+  TopkServer server(dev, cfg);
+  const CorpusId id = server.register_corpus(vs);
+  const auto f = core::FidelityPolicy::approx(0.9);
+  std::vector<Query> batch;
+  for (u64 k : {16, 64, 256})
+    batch.push_back(
+        server.registered_query(id, k, Criterion::kLargest, false, f));
+  (void)server.run_batch(batch);
+  const u64 launches = dev.total_stats().kernels_launched;
+  for (int r = 0; r < 3; ++r) {
+    auto res = server.run_batch(batch);
+    for (size_t i = 0; i < batch.size(); ++i)
+      EXPECT_EQ(res[i].values,
+                delegate_best(vs, res[i].breakdown.alpha, batch[i].k,
+                              Criterion::kLargest));
+  }
+  EXPECT_EQ(dev.total_stats().kernels_launched, launches);
+}
+
+TEST(Serve, RacingColdSetupsBuildTheIndexOnce) {
+  // Many executors set up groups on one cold (corpus, alpha) at once: the
+  // per-entry once-guard must build exactly one index; everyone else hits.
+  const u64 n = 1 << 18;
+  auto v = data::generate(n, Distribution::kUniform, 215);
+  std::span<const u32> vs(v.data(), v.size());
+  ServerConfig cfg;
+  cfg.executors = 4;
+  cfg.batch_max = 1;  // one group per query: every setup races
+  cfg.base.alpha = 7;  // one alpha for every k below
+  TopkServer server(shared_device(), cfg);
+  const CorpusId id = server.register_corpus(vs);
+  std::vector<Query> batch;
+  for (u64 i = 0; i < 16; ++i)
+    batch.push_back(server.registered_query(id, 100 + i));
+  auto res = server.run_batch(batch);
+  for (size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(res[i].values, widen(reference_topk(vs, batch[i].k))) << i;
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.groups, 16u);
+  EXPECT_EQ(s.index_builds, 1u);
+  EXPECT_EQ(s.index_hits, 15u);
+}
+
+TEST(Serve, UnregisterWithQueriesInFlightStaysCorrectAndFreesTheIndex) {
+  const u64 n = 1 << 17;
+  auto v = data::generate(n, Distribution::kUniform, 217);
+  std::span<const u32> vs(v.data(), v.size());
+  ServerConfig cfg;
+  cfg.executors = 1;
+  TopkServer server(shared_device(), cfg);
+  const CorpusId id = server.register_corpus(vs);
+  // A slow unrelated query (a direct top-k over a large payload) holds
+  // the only executor, so every registered query below is still queued
+  // when its corpus is unregistered — its index is built afterwards.
+  std::vector<u32> big(u64{1} << 19);
+  for (u64 i = 0; i < big.size(); ++i)
+    big[i] = static_cast<u32>(data::rand_u64(218, i));
+  auto blocker = server.submit(Query::owned(big, big.size() - 1));
+  std::vector<u64> ks;
+  std::vector<std::future<QueryResult>> futures;
+  for (u64 i = 0; i < 32; ++i) {
+    ks.push_back(16 + 8 * i);
+    futures.push_back(server.submit(id, ks.back()));
+  }
+  server.unregister_corpus(id);
+  EXPECT_EQ(server.stats().index_builds, 0u);
+  EXPECT_THROW(server.submit(id, 10), std::invalid_argument);
+  EXPECT_THROW(server.unregister_corpus(id), std::invalid_argument);
+  for (size_t i = 0; i < futures.size(); ++i)
+    EXPECT_EQ(futures[i].get().values, widen(reference_topk(vs, ks[i]))) << i;
+  EXPECT_EQ(blocker.get().values.size(), big.size() - 1);
+  server.drain();
+  EXPECT_GE(server.stats().index_builds, 1u);
+  // The last group releases its index right after its last answer: wait
+  // for the executors to drop their claims.
+  for (int i = 0; i < 2000 && server.stats().index_bytes != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(server.stats().index_bytes, 0u);
+  EXPECT_NE(server.metrics_prometheus().find("serve_index_bytes 0"),
+            std::string::npos);
+}
+
+TEST(Serve, HeldRegisteredQueryNeitherPinsTheIndexNorOutlivesItsServer) {
+  // A caller may keep a registered Query around (for another run_batch).
+  // It must not keep the corpus's index alive past unregistration, and
+  // destroying it after the server is gone must touch nothing of the
+  // server's (run under ASan in CI).
+  const u64 n = 1 << 16;
+  auto v = data::generate(n, Distribution::kUniform, 219);
+  std::span<const u32> vs(v.data(), v.size());
+  std::vector<Query> held;  // declared before the server: outlives it
+  {
+    ServerConfig cfg;
+    cfg.executors = 1;
+    TopkServer server(shared_device(), cfg);
+    const CorpusId id = server.register_corpus(vs);
+    held.push_back(server.registered_query(id, 50));
+    EXPECT_EQ(server.run_batch({held.back()})[0].values,
+              widen(reference_topk(vs, 50)));
+    EXPECT_GT(server.stats().index_bytes, 0u);
+    server.unregister_corpus(id);
+    for (int i = 0; i < 2000 && server.stats().index_bytes != 0; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(server.stats().index_bytes, 0u);
+    // A second corpus is still registered (index built) when the server
+    // is destroyed.
+    const CorpusId id2 = server.register_corpus(vs);
+    held.push_back(server.registered_query(id2, 60));
+    EXPECT_EQ(server.run_batch({held.back()})[0].values,
+              widen(reference_topk(vs, 60)));
+    EXPECT_GT(server.stats().index_bytes, 0u);
+  }
+  held.clear();
 }
 
 }  // namespace

@@ -897,7 +897,8 @@ int main(int argc, char** argv) {
         .set("ctas", st.stats.ctas_run)
         .set("load_elems", st.stats.global_load_elems)
         .set("atomics", st.stats.atomic_ops)
-        .set("sim_ms", st.sim_ms);
+        .set("sim_ms", st.sim_ms)
+        .set("wall_ms", st.wall_ms);
     srows.push(std::move(row));
   }
 

@@ -1,5 +1,6 @@
 // Snapshot exporters for the metrics registry (Prometheus text format and
-// JSON) plus the paper-style per-stage kernel breakdown table.
+// JSON) plus the device stage ledger on both clocks: the paper-style
+// per-stage kernel breakdown table and its Prometheus/JSON series.
 //
 // Prometheus output follows the text exposition format: `# HELP`/`# TYPE`
 // headers, histograms as cumulative `_bucket{le="..."}` series ending in
@@ -56,6 +57,19 @@ inline std::string to_prometheus(const Registry& reg,
   return os.str();
 }
 
+/// `{labels}` in Prometheus brace style for splicing into a JSON key; the
+/// label set is embedded in a JSON string, so its quotes get escaped.
+/// Empty labels give an empty suffix.
+inline std::string json_label_suffix(const std::string& labels) {
+  if (labels.empty()) return {};
+  std::string suffix = "{";
+  for (const char ch : labels) {
+    if (ch == '"') suffix += '\\';
+    suffix += ch;
+  }
+  return suffix + "}";
+}
+
 /// Renders the registry as a JSON object keyed by metric name. Counters
 /// and gauges map to numbers; histograms to
 /// {"count", "sum", "p50", "p90", "p99", "buckets": [[le, cumulative], ...]}.
@@ -66,16 +80,7 @@ inline std::string to_json(const Registry& reg,
                            const std::string& labels = {}) {
   std::ostringstream os;
   os << "{";
-  // The label set is embedded in a JSON string, so its quotes get escaped.
-  std::string suffix;
-  if (!labels.empty()) {
-    suffix = "{";
-    for (const char ch : labels) {
-      if (ch == '"') suffix += '\\';
-      suffix += ch;
-    }
-    suffix += "}";
-  }
+  const std::string suffix = json_label_suffix(labels);
   bool first = true;
   for (const Registry::Entry* e : reg.entries()) {
     if (!first) os << ",";
@@ -106,31 +111,86 @@ inline std::string to_json(const Registry& reg,
 
 /// Formats the per-stage kernel breakdown as an aligned text table —
 /// launches, CTAs, sector transactions (the paper's Table 3 unit), element
-/// accesses (Eq. 2-5), shuffles (Eq. 2), atomics (Section 4.2) and
-/// simulated milliseconds per stage, with a totals row.
+/// accesses (Eq. 2-5), shuffles (Eq. 2), atomics (Section 4.2), simulated
+/// device milliseconds and the host wall milliseconds the launches took to
+/// emulate, per stage, with a totals row. The two clock columns are named
+/// after their clocks.
 inline std::string stage_table(const std::vector<vgpu::StageStats>& stages) {
   std::ostringstream os;
   os << std::left << std::setw(14) << "stage" << std::right << std::setw(10)
      << "launches" << std::setw(10) << "ctas" << std::setw(14) << "sectors"
      << std::setw(14) << "elems" << std::setw(12) << "shfl" << std::setw(12)
-     << "atomics" << std::setw(12) << "sim_ms" << "\n";
+     << "atomics" << std::setw(12) << "dev_sim_ms" << std::setw(14)
+     << "host_wall_ms" << "\n";
+  auto row = [&](const std::string& name, const vgpu::KernelStats& st,
+                 double sim_ms, double wall_ms) {
+    os << std::left << std::setw(14) << name << std::right << std::setw(10)
+       << st.kernels_launched << std::setw(10) << st.ctas_run << std::setw(14)
+       << st.global_txns() << std::setw(14) << st.global_elems()
+       << std::setw(12) << st.shfl_ops << std::setw(12) << st.atomic_ops
+       << std::setw(12) << std::fixed << std::setprecision(3) << sim_ms
+       << std::setw(14) << wall_ms << "\n";
+  };
   vgpu::KernelStats sum;
-  double sum_ms = 0.0;
+  double sum_sim = 0.0, sum_wall = 0.0;
   for (const vgpu::StageStats& st : stages) {
-    os << std::left << std::setw(14) << st.stage << std::right << std::setw(10)
-       << st.stats.kernels_launched << std::setw(10) << st.stats.ctas_run
-       << std::setw(14) << st.stats.global_txns() << std::setw(14)
-       << st.stats.global_elems() << std::setw(12) << st.stats.shfl_ops
-       << std::setw(12) << st.stats.atomic_ops << std::setw(12) << std::fixed
-       << std::setprecision(3) << st.sim_ms << "\n";
+    row(st.stage, st.stats, st.sim_ms, st.wall_ms);
     sum += st.stats;
-    sum_ms += st.sim_ms;
+    sum_sim += st.sim_ms;
+    sum_wall += st.wall_ms;
   }
-  os << std::left << std::setw(14) << "total" << std::right << std::setw(10)
-     << sum.kernels_launched << std::setw(10) << sum.ctas_run << std::setw(14)
-     << sum.global_txns() << std::setw(14) << sum.global_elems()
-     << std::setw(12) << sum.shfl_ops << std::setw(12) << sum.atomic_ops
-     << std::setw(12) << std::fixed << std::setprecision(3) << sum_ms << "\n";
+  row("total", sum, sum_sim, sum_wall);
+  return os.str();
+}
+
+/// One device's stage ledger plus the pre-rendered label set its series
+/// carry (e.g. `shard="2"`; empty for a single device).
+struct LabelledLedger {
+  std::string labels;
+  std::vector<vgpu::StageStats> stages;
+};
+
+/// Renders stage ledgers in Prometheus text format: per stage,
+/// `vgpu_stage_launches`, `vgpu_stage_sim_ms` (simulated device clock) and
+/// `vgpu_stage_wall_ms` (host wall clock), labelled `stage="<name>"` after
+/// each ledger's labels. Every family is written once, with the series of
+/// all ledgers under its single HELP/TYPE header.
+inline std::string stage_prometheus(const std::vector<LabelledLedger>& ledgers) {
+  std::ostringstream os;
+  auto family = [&](const char* name, const char* help, auto value) {
+    os << "# HELP " << name << " " << help << "\n";
+    os << "# TYPE " << name << " counter\n";
+    for (const LabelledLedger& led : ledgers) {
+      const std::string extra = led.labels.empty() ? "" : led.labels + ",";
+      for (const vgpu::StageStats& st : led.stages)
+        os << name << "{" << extra << "stage=\"" << st.stage << "\"} "
+           << value(st) << "\n";
+    }
+  };
+  family("vgpu_stage_launches", "Kernel launches per pipeline stage",
+         [](const vgpu::StageStats& st) { return st.stats.kernels_launched; });
+  family("vgpu_stage_sim_ms",
+         "Simulated device milliseconds per pipeline stage (cost model)",
+         [](const vgpu::StageStats& st) { return st.sim_ms; });
+  family("vgpu_stage_wall_ms",
+         "Host wall-clock milliseconds spent emulating each stage's launches",
+         [](const vgpu::StageStats& st) { return st.wall_ms; });
+  return os.str();
+}
+
+/// Renders a device stage ledger as a JSON object keyed by stage:
+/// {"construct": {"launches": n, "sim_ms": x, "wall_ms": y}, ...}.
+inline std::string stage_json(const std::vector<vgpu::StageStats>& stages) {
+  std::ostringstream os;
+  os << "{";
+  bool first = true;
+  for (const vgpu::StageStats& st : stages) {
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << st.stage << "\":{\"launches\":" << st.stats.kernels_launched
+       << ",\"sim_ms\":" << st.sim_ms << ",\"wall_ms\":" << st.wall_ms << "}";
+  }
+  os << "}";
   return os.str();
 }
 

@@ -172,11 +172,16 @@ ServerStats TopkServer::stats() const {
 }
 
 std::string TopkServer::metrics_prometheus() const {
-  return obs::to_prometheus(registry_);
+  return obs::to_prometheus(registry_) +
+         obs::stage_prometheus({{"", dev_.stage_stats()}});
 }
 
 std::string TopkServer::metrics_json() const {
-  return obs::to_json(registry_);
+  std::string out = obs::to_json(registry_);
+  out.insert(out.size() - 1, std::string(out.size() > 2 ? "," : "") +
+                                 "\"vgpu_stages\":" +
+                                 obs::stage_json(dev_.stage_stats()));
+  return out;
 }
 
 bool TopkServer::dump_trace(const std::string& path) const {

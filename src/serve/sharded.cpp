@@ -400,10 +400,15 @@ u64 ShardedTopkServer::unattributed_launches() const {
 
 std::string ShardedTopkServer::metrics_prometheus() const {
   std::string out;
-  for (u32 s = 0; s < shards_.size(); ++s)
-    out += obs::to_prometheus(shards_[s].server->metrics(),
-                              "shard=\"" + std::to_string(s) + "\"");
+  std::vector<obs::LabelledLedger> ledgers;
+  for (u32 s = 0; s < shards_.size(); ++s) {
+    const std::string label = "shard=\"" + std::to_string(s) + "\"";
+    out += obs::to_prometheus(shards_[s].server->metrics(), label);
+    ledgers.push_back({label, shards_[s].dev->stage_stats()});
+  }
   out += obs::to_prometheus(registry_, "shard=\"merge\"");
+  ledgers.push_back({"shard=\"merge\"", merge_dev_->stage_stats()});
+  out += obs::stage_prometheus(ledgers);
   return out;
 }
 
@@ -418,10 +423,17 @@ std::string ShardedTopkServer::metrics_json() const {
     first = false;
     out.append(obj, 1, obj.size() - 2);
   };
-  for (u32 s = 0; s < shards_.size(); ++s)
-    splice(obs::to_json(shards_[s].server->metrics(),
-                        "shard=\"" + std::to_string(s) + "\""));
+  auto splice_stages = [&](const vgpu::Device& dev, const std::string& label) {
+    splice("{\"vgpu_stages" + obs::json_label_suffix(label) +
+           "\":" + obs::stage_json(dev.stage_stats()) + "}");
+  };
+  for (u32 s = 0; s < shards_.size(); ++s) {
+    const std::string label = "shard=\"" + std::to_string(s) + "\"";
+    splice(obs::to_json(shards_[s].server->metrics(), label));
+    splice_stages(*shards_[s].dev, label);
+  }
   splice(obs::to_json(registry_, "shard=\"merge\""));
+  splice_stages(*merge_dev_, "shard=\"merge\"");
   out += "}";
   return out;
 }

@@ -114,47 +114,6 @@ inline u64 batched_segment_cap(const vgpu::GpuProfile& p) {
   return std::max<u64>(1, static_cast<u64>(p.num_sms) * 4);
 }
 
-namespace detail {
-
-/// Coalesced staging of v[begin, begin+len) into a CTA's shared span at
-/// shared offset [sh_off, sh_off+len) (every warp of the CTA copies its
-/// slice, as in small_topk_shared). The offset form lets one CTA stage
-/// several disjoint runs side by side (the merge entry point below).
-template <class K>
-void batched_stage_shared(vgpu::CtaCtx& cta, std::span<const K> v, u64 begin,
-                          u64 len, vgpu::SharedSpan<K>& sh, u64 sh_off = 0) {
-  cta.for_each_warp([&](vgpu::Warp& w) {
-    const u32 local = w.global_id() % cta.warps_per_cta();
-    const Slice s = warp_slice(len, local, cta.warps_per_cta());
-    if (s.len == 0) return;
-    u64 pos = s.begin;
-    const u64 end = s.begin + s.len;
-    while (pos < end) {
-      const u32 active =
-          static_cast<u32>(std::min<u64>(vgpu::kWarpSize, end - pos));
-      auto vals = w.load_coalesced(v, begin + pos, active);
-      sh.warp_scatter(active, [&](u32 l) { return sh_off + pos + l; }, vals);
-      pos += active;
-    }
-  });
-}
-
-/// Coalesced emission of the leading `count` shared elements into `out`.
-template <class K>
-void batched_emit_shared(vgpu::Warp& w, vgpu::SharedSpan<K>& sh,
-                         std::span<K> out, u64 count) {
-  u64 pos = 0;
-  while (pos < count) {
-    const u32 active =
-        static_cast<u32>(std::min<u64>(vgpu::kWarpSize, count - pos));
-    auto vals = sh.warp_gather(active, [&](u32 l) { return pos + l; });
-    w.store_coalesced(out, pos, vals, active);
-    pos += active;
-  }
-}
-
-}  // namespace detail
-
 /// Selects top-k for every segment of the batch. Scratch (the multi-CTA
 /// partial buffers) comes from `ws` and is rewound before returning; stats
 /// and simulated time accumulate into `acc`.
@@ -276,11 +235,11 @@ BatchedResult<K> batched_topk(Accum& acc,
       if (it.slice == kNoSlice) {
         // Single-CTA segment: stage, sort, emit for every attached query.
         auto sh = cta.shared().alloc<K>(pb.n);
-        detail::batched_stage_shared(cta, data, 0, pb.n, sh);
+        detail::stage_shared(cta, data, 0, pb.n, sh);
         vgpu::Warp w = cta.warp(0);
         topk::detail::charge_shared_network(
             w.stats(), topk::detail::bitonic_sort_cx(std::bit_ceil(pb.n)));
-        std::sort(sh.data(), sh.data() + pb.n, std::greater<>());
+        detail::sort_top(sh.data(), pb.n, pb.kmax);
         for (const u32 si : pb.seg_ids) {
           const auto& sg = segs[si];
           const u64 keff = std::min(sg.k, pb.n);
@@ -288,7 +247,7 @@ BatchedResult<K> batched_topk(Accum& acc,
           if (sg.selection_only)
             w.st(out, 0, sh.ld(keff - 1));
           else
-            detail::batched_emit_shared(w, sh, out, keff);
+            detail::emit_shared(w, sh, out, keff);
         }
       } else {
         // Multi-CTA slice: sort the slice, keep its top-kmax prefix for
@@ -296,14 +255,14 @@ BatchedResult<K> batched_topk(Accum& acc,
         const u64 begin = static_cast<u64>(it.slice) * cap;
         const u64 slen = std::min(cap, pb.n - begin);
         auto sh = cta.shared().alloc<K>(slen);
-        detail::batched_stage_shared(cta, data, begin, slen, sh);
+        detail::stage_shared(cta, data, begin, slen, sh);
         vgpu::Warp w = cta.warp(0);
         topk::detail::charge_shared_network(
             w.stats(), topk::detail::bitonic_sort_cx(std::bit_ceil(slen)));
-        std::sort(sh.data(), sh.data() + slen, std::greater<>());
         const u64 keep = std::min(pb.kmax, slen);
+        detail::sort_top(sh.data(), slen, keep);
         const u64 off = pb.part_off + it.slice * std::min(pb.kmax, cap);
-        detail::batched_emit_shared(w, sh, partial.subspan(off, keep), keep);
+        detail::emit_shared(w, sh, partial.subspan(off, keep), keep);
       }
     });
     ++r.launches;
@@ -330,7 +289,7 @@ BatchedResult<K> batched_topk(Accum& acc,
       const u64 m = pb.part_total;
       auto sh = cta.shared().alloc<K>(m);
       std::span<const K> runs(partial.data() + pb.part_off, m);
-      detail::batched_stage_shared(cta, runs, 0, m, sh);
+      detail::stage_shared(cta, runs, 0, m, sh);
       vgpu::Warp w = cta.warp(0);
       // The merge set is a concatenation of pb.slices sorted runs: charge
       // the P-way merge network (a binary tree of bitonic merges), not a
@@ -338,7 +297,7 @@ BatchedResult<K> batched_topk(Accum& acc,
       // launch 1.
       topk::detail::charge_shared_network(
           w.stats(), vgpu::merge_network_cx(m, pb.slices));
-      std::sort(sh.data(), sh.data() + m, std::greater<>());
+      detail::sort_top(sh.data(), m, std::min(pb.kmax, m));
       for (const u32 si : pb.seg_ids) {
         const auto& sg = segs[si];
         const u64 keff = std::min(sg.k, pb.n);
@@ -346,7 +305,7 @@ BatchedResult<K> batched_topk(Accum& acc,
         if (sg.selection_only)
           w.st(out, 0, sh.ld(keff - 1));
         else
-          detail::batched_emit_shared(w, sh, out, keff);
+          detail::emit_shared(w, sh, out, keff);
       }
     });
     ++r.launches;
@@ -455,19 +414,19 @@ BatchedResult<K> batched_merge_topk(Accum& acc,
       u64 off = 0;
       for (const auto& run : sg.runs) {
         if (run.empty()) continue;
-        detail::batched_stage_shared(cta, run, 0, run.size(), sh, off);
+        detail::stage_shared(cta, run, 0, run.size(), sh, off);
         off += run.size();
       }
       vgpu::Warp w = cta.warp(0);
       topk::detail::charge_shared_network(
           w.stats(), vgpu::merge_network_cx(pb.m, pb.nruns));
-      std::sort(sh.data(), sh.data() + pb.m, std::greater<>());
       const u64 keff = std::min(sg.k, pb.m);
+      detail::sort_top(sh.data(), pb.m, keff);
       std::span<K> out(r.keys[si]);
       if (sg.selection_only)
         w.st(out, 0, sh.ld(keff - 1));
       else
-        detail::batched_emit_shared(w, sh, out, keff);
+        detail::emit_shared(w, sh, out, keff);
     });
     ++r.launches;
   }

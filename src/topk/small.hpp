@@ -39,6 +39,53 @@ bool small_topk_fits(const vgpu::GpuProfile& p, u64 n) {
   return n > 0 && n <= small_topk_cap<K>(p);
 }
 
+namespace detail {
+
+/// Coalesced staging of v[begin, begin+len) into a CTA's shared span at
+/// shared offset [sh_off, sh_off+len): each of the CTA's warps copies its
+/// warp_slice in 32-lane chunks (load_coalesced + warp_scatter). The copy
+/// is one host memcpy; each warp's loads, shared stores and contiguous
+/// bank replays are charged in closed form. The offset form lets one CTA
+/// stage several disjoint runs side by side.
+template <class K>
+void stage_shared(vgpu::CtaCtx& cta, std::span<const K> v, u64 begin,
+                  u64 len, vgpu::SharedSpan<K>& sh, u64 sh_off = 0) {
+  assert(begin + len <= v.size() && sh_off + len <= sh.size());
+  std::copy_n(v.data() + begin, len, sh.data() + sh_off);
+  vgpu::KernelStats& st = cta.stats();
+  for (u32 w = 0; w < cta.warps_per_cta(); ++w) {
+    const u64 slen = warp_slice(len, w, cta.warps_per_cta()).len;
+    vgpu::charge_coalesced_loads<K>(st, slen);
+    st.shared_stores += slen;
+    st.shared_bank_conflicts += vgpu::SharedSpan<K>::contiguous_run_replays(slen);
+  }
+}
+
+/// Coalesced emission of the leading `count` shared elements into `out`
+/// (32-lane warp_gather + store_coalesced chunks), charged in closed form.
+template <class K>
+void emit_shared(vgpu::Warp& w, const vgpu::SharedSpan<K>& sh,
+                 std::span<K> out, u64 count) {
+  assert(count <= sh.size() && count <= out.size());
+  std::copy_n(sh.data(), count, out.data());
+  w.stats().shared_loads += count;
+  w.stats().shared_bank_conflicts +=
+      vgpu::SharedSpan<K>::contiguous_run_replays(count);
+  vgpu::charge_coalesced_stores<K>(w.stats(), count);
+}
+
+/// Host stand-in for the shared-memory sorting network, whose charge the
+/// caller adds analytically: leaves the `keep` largest of p[0, n) in
+/// p[0, keep), sorted descending. Nothing past the emitted prefix is ever
+/// read, so the rest stays unsorted.
+template <class K>
+void sort_top(K* p, u64 n, u64 keep) {
+  if (keep < n) std::nth_element(p, p + keep, p + n, std::greater<>());
+  std::sort(p, p + keep, std::greater<>());
+}
+
+}  // namespace detail
+
 /// One-launch top-k of a small input. Returns exactly k keys sorted
 /// descending (selection-only: just the k-th key), bit-identical to every
 /// other engine's multiset. No scratch beyond the CTA's shared arena.
@@ -61,38 +108,21 @@ TopkResult<K> small_topk_shared(Accum& acc, std::span<const K> v, u64 k,
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
     auto sh = cta.shared().alloc<K>(n);
     // (i) Coalesced staging: every warp copies its slice into shared.
-    cta.for_each_warp([&](vgpu::Warp& w) {
-      const Slice s = warp_slice(n, w.global_id(), w.grid_warps());
-      if (s.len == 0) return;
-      u64 pos = s.begin;
-      const u64 end = s.begin + s.len;
-      while (pos < end) {
-        const u32 active =
-            static_cast<u32>(std::min<u64>(vgpu::kWarpSize, end - pos));
-        auto vals = w.load_coalesced(v, pos, active);
-        sh.warp_scatter(active, [&](u32 l) { return pos + l; }, vals);
-        pos += active;
-      }
-    });
-    // (ii) In-place bitonic sort, descending. Functionally performed with
-    // the host library; the compare-exchange network is charged
-    // analytically (same convention as topk/bitonic.hpp).
+    detail::stage_shared(cta, v, 0, n, sh);
+    // (ii) In-place bitonic sort, descending. The compare-exchange network
+    // is charged analytically (same convention as topk/bitonic.hpp); the
+    // host only orders what is emitted.
     vgpu::Warp w = cta.warp(0);
     detail::charge_shared_network(w.stats(),
                                   detail::bitonic_sort_cx(std::bit_ceil(n)));
-    std::sort(sh.data(), sh.data() + n, std::greater<>());
     // (iii) Emission straight out of shared memory.
     if (selection_only) {
+      std::nth_element(sh.data(), sh.data() + (k - 1), sh.data() + n,
+                       std::greater<>());
       w.st(out, 0, sh.ld(k - 1));
     } else {
-      u64 pos = 0;
-      while (pos < k) {
-        const u32 active =
-            static_cast<u32>(std::min<u64>(vgpu::kWarpSize, k - pos));
-        auto vals = sh.warp_gather(active, [&](u32 l) { return pos + l; });
-        w.store_coalesced(out, pos, vals, active);
-        pos += active;
-      }
+      detail::sort_top(sh.data(), n, k);
+      detail::emit_shared(w, sh, out, k);
     }
   });
 

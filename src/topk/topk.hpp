@@ -60,22 +60,18 @@ std::span<typename data::KeyTraits<T>::Key> make_directed_keys(
   vgpu::StageScope stage_scope("keys");
   std::span<Key> out = ws.alloc<Key>(v.size());
   auto cfg = stream_launch(acc.device(), v.size(), "to_keys");
+  // Each warp streams its slice in coalesced 32-element chunks: load the
+  // values, map them, store the keys. The mapping runs as one host loop
+  // over the slice; the chunked loads and stores are charged in closed
+  // form.
   acc.launch(cfg, [&](vgpu::CtaCtx& cta) {
     cta.for_each_warp([&](vgpu::Warp& w) {
       const Slice s = warp_slice(v.size(), w.global_id(), w.grid_warps());
-      if (s.len == 0) return;
-      u64 pos = s.begin;
-      const u64 end = s.begin + s.len;
-      while (pos < end) {
-        const u32 active =
-            static_cast<u32>(std::min<u64>(vgpu::kWarpSize, end - pos));
-        auto vals = w.load_coalesced(v, pos, active);
-        vgpu::LaneArray<Key> ks{};
-        for (u32 l = 0; l < active; ++l)
-          ks[l] = data::directed_key(vals[l], c);
-        w.store_coalesced(out, pos, ks, active);
-        pos += active;
-      }
+      const T* src = v.data() + s.begin;
+      Key* dst = out.data() + s.begin;
+      for (u64 i = 0; i < s.len; ++i) dst[i] = data::directed_key(src[i], c);
+      vgpu::charge_coalesced_loads<T>(w.stats(), s.len);
+      vgpu::charge_coalesced_stores<Key>(w.stats(), s.len);
     });
   });
   return out;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <span>
@@ -73,12 +74,14 @@ class StageScope {
   bool engaged_ = false;
 };
 
-/// Per-stage aggregate: KernelStats plus simulated time attributed to one
-/// stage label.
+/// Per-stage aggregate attributed to one stage label, on both clocks:
+/// `sim_ms` is the cost model's simulated device time, `wall_ms` the host
+/// wall-clock the launches took to emulate (CTA dispatch to stats merge).
 struct StageStats {
   std::string stage;
   KernelStats stats;
   double sim_ms = 0.0;
+  double wall_ms = 0.0;
 };
 
 /// Execution context handed to the kernel, one per CTA.
@@ -159,6 +162,7 @@ class Device {
   /// device's running totals.
   template <class F>
   KernelStats launch(const Launch& cfg, F&& kernel) {
+    const auto wall_start = std::chrono::steady_clock::now();
     const u32 workers = pool_.size();
     std::vector<KernelStats> per_worker(workers);
 
@@ -180,15 +184,18 @@ class Device {
 
     const double ms = cost_.kernel_ms(s);
     const char* stage = cfg.stage ? cfg.stage : StageScope::active();
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - wall_start)
+                               .count();
     {
       std::lock_guard lk(mu_);
       total_ += s;
-      total_sim_ms_ += ms;
       // The stage ledger adds the *same* KernelStats under the *same* lock,
       // so per-stage totals reconcile exactly with total_stats().
       StageSlot& slot = stages_[stage ? stage : "unattributed"];
       slot.stats += s;
       slot.sim_ms += ms;
+      slot.wall_ms += wall_ms;
     }
     return s;
   }
@@ -199,7 +206,6 @@ class Device {
   void reset_stats() {
     std::lock_guard lk(mu_);
     total_ = KernelStats{};
-    total_sim_ms_ = 0.0;
     stages_.clear();
   }
 
@@ -208,20 +214,26 @@ class Device {
     return total_;
   }
 
+  /// Simulated milliseconds over every launch: the stage slots summed in
+  /// label order, so adding up stage_stats()'s sim_ms in the order returned
+  /// reproduces it bit for bit.
   double total_sim_ms() const {
     std::lock_guard lk(mu_);
-    return total_sim_ms_;
+    double ms = 0.0;
+    for (const auto& [name, slot] : stages_) ms += slot.sim_ms;
+    return ms;
   }
 
   /// Per-stage kernel-stats breakdown, sorted by stage label. Summing the
   /// returned KernelStats reproduces total_stats() exactly (same counters
-  /// added under the same lock).
+  /// added under the same lock); `wall_ms` is accumulated under that lock
+  /// too, so a snapshot's two clocks cover the same launches.
   std::vector<StageStats> stage_stats() const {
     std::vector<StageStats> out;
     std::lock_guard lk(mu_);
     out.reserve(stages_.size());
     for (const auto& [name, slot] : stages_)
-      out.push_back(StageStats{name, slot.stats, slot.sim_ms});
+      out.push_back(StageStats{name, slot.stats, slot.sim_ms, slot.wall_ms});
     return out;
   }
 
@@ -265,11 +277,11 @@ class Device {
   struct StageSlot {
     KernelStats stats;
     double sim_ms = 0.0;
+    double wall_ms = 0.0;
   };
 
   mutable std::mutex mu_;
   KernelStats total_;
-  double total_sim_ms_ = 0.0;
   std::map<std::string, StageSlot> stages_;
 };
 

@@ -7,6 +7,8 @@
 // them so the padding ablation is observable.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -41,43 +43,44 @@ class SharedSpan {
   template <class IdxFn>
   LaneArray<T> warp_gather(u32 active, IdxFn&& idx) const {
     LaneArray<T> out{};
-    u64 idxs[kWarpSize];
     for (u32 l = 0; l < active; ++l) {
-      idxs[l] = idx(l);
-      assert(idxs[l] < n_);
-      out[l] = p_[idxs[l]];
+      const u64 i = idx(l);
+      assert(i < n_);
+      out[l] = p_[i];
     }
     stats_->shared_loads += active;
-    stats_->shared_bank_conflicts += conflict_replays(idxs, active);
+    stats_->shared_bank_conflicts += bank_replays(active, idx);
     return out;
   }
 
   /// Warp-wide scatter: lane l writes val[l] to element idx(l).
   template <class IdxFn>
   void warp_scatter(u32 active, IdxFn&& idx, const LaneArray<T>& val) {
-    u64 idxs[kWarpSize];
     for (u32 l = 0; l < active; ++l) {
-      idxs[l] = idx(l);
-      assert(idxs[l] < n_);
-      p_[idxs[l]] = val[l];
+      const u64 i = idx(l);
+      assert(i < n_);
+      p_[i] = val[l];
     }
     stats_->shared_stores += active;
-    stats_->shared_bank_conflicts += conflict_replays(idxs, active);
+    stats_->shared_bank_conflicts += bank_replays(active, idx);
   }
 
-  /// Raw access for verification in tests (not charged).
-  T* data() { return p_; }
-  const T* data() const { return p_; }
-
- private:
-  /// Replays beyond the first cycle: for each bank, count distinct words
-  /// touched; the access is serialized max-over-banks times.
-  u64 conflict_replays(const u64* idxs, u32 active) const {
+  /// Replay cycles (beyond the first) of one warp access in which lane l
+  /// touches element idx(l): for each bank, count the distinct words
+  /// touched; the access is serialized max-over-banks times. The count
+  /// depends only on the index pattern, never on the data, so a kernel
+  /// whose pattern is fixed may evaluate it once and charge it per access
+  /// — warp_gather/warp_scatter and those closed forms share this one
+  /// definition. Translating every index by d shifts every word by
+  /// d*sizeof(T)/4 and so permutes the banks cyclically (for 4- and 8-byte
+  /// T): a contiguous run's count depends on its length only.
+  template <class IdxFn>
+  static u64 bank_replays(u32 active, IdxFn&& idx) {
     u32 bank_words[kSharedBanks][kWarpSize];
     u32 bank_count[kSharedBanks] = {};
     u32 worst = 1;
     for (u32 l = 0; l < active; ++l) {
-      const u64 word = idxs[l] * sizeof(T) / 4;
+      const u64 word = static_cast<u64>(idx(l)) * sizeof(T) / 4;
       const u32 bank = static_cast<u32>(word % kSharedBanks);
       bool seen = false;
       for (u32 j = 0; j < bank_count[bank]; ++j) {
@@ -94,6 +97,27 @@ class SharedSpan {
     return worst - 1;
   }
 
+  /// Total replays of `len` consecutive elements accessed as 32-lane warp
+  /// accesses, the last one ragged (a coalesced staging or emission loop).
+  /// By the translation argument above each access's count depends only
+  /// on its lane count, so the per-count table is evaluated once per T.
+  static u64 contiguous_run_replays(u64 len) {
+    static const std::array<u64, kWarpSize + 1> per_access = [] {
+      std::array<u64, kWarpSize + 1> t{};
+      for (u32 a = 1; a <= kWarpSize; ++a)
+        t[a] = bank_replays(a, [](u32 l) { return u64{l}; });
+      return t;
+    }();
+    return len / kWarpSize * per_access[kWarpSize] +
+           per_access[len % kWarpSize];
+  }
+
+  /// Raw access, not charged: for tests, and for kernels that compute
+  /// their result with host code and charge their accesses in closed form.
+  T* data() { return p_; }
+  const T* data() const { return p_; }
+
+ private:
   T* p_ = nullptr;
   u64 n_ = 0;
   KernelStats* stats_ = nullptr;

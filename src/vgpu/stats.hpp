@@ -61,6 +61,10 @@ struct KernelStats {
     return *this;
   }
 
+  /// Field-by-field equality: the emulation contract is that a kernel's
+  /// counters match its warp-synchronous program's exactly.
+  bool operator==(const KernelStats&) const = default;
+
   friend KernelStats operator+(KernelStats a, const KernelStats& b) {
     a += b;
     return a;

@@ -43,6 +43,29 @@ struct AtomicOps {
 
 }  // namespace detail
 
+/// Closed-form charge of `len` consecutive elements of T loaded by a warp
+/// as coalesced 32-lane accesses, the last one ragged: the accounting of
+/// every chunked streaming loop (Warp::scan_coalesced, a load_coalesced
+/// loop), for kernels that move the data with host code.
+template <class T>
+void charge_coalesced_loads(KernelStats& s, u64 len) {
+  s.global_load_elems += len;
+  s.global_load_bytes += len * sizeof(T);
+  s.global_load_txns +=
+      len / kWarpSize * detail::coalesced_txns(u64{kWarpSize} * sizeof(T)) +
+      detail::coalesced_txns(len % kWarpSize * sizeof(T));
+}
+
+/// Store counterpart of charge_coalesced_loads (a store_coalesced loop).
+template <class T>
+void charge_coalesced_stores(KernelStats& s, u64 len) {
+  s.global_store_elems += len;
+  s.global_store_bytes += len * sizeof(T);
+  s.global_store_txns +=
+      len / kWarpSize * detail::coalesced_txns(u64{kWarpSize} * sizeof(T)) +
+      detail::coalesced_txns(len % kWarpSize * sizeof(T));
+}
+
 class Warp {
  public:
   Warp(KernelStats& stats, u32 global_id, u32 grid_warps)
@@ -100,7 +123,7 @@ class Warp {
   LaneArray<T> load_coalesced(std::span<const T> v, u64 base,
                               u32 active = kWarpSize) {
     assert(active <= kWarpSize && base + active <= v.size());
-    charge_coalesced_load<T>(active);
+    charge_coalesced_loads<T>(local_, active);
     const T* src = v.data() + base;
     LaneArray<T> out;
     if (active == kWarpSize) {
@@ -118,7 +141,7 @@ class Warp {
   void store_coalesced(std::span<T> v, u64 base, const LaneArray<T>& x,
                        u32 active = kWarpSize) {
     assert(active <= kWarpSize && base + active <= v.size());
-    charge_coalesced_store<T>(active);
+    charge_coalesced_stores<T>(local_, active);
     T* dst = v.data() + base;
     if (active == kWarpSize) {
       for (u32 l = 0; l < kWarpSize; ++l) dst[l] = x[l];
@@ -148,7 +171,7 @@ class Warp {
       for (u32 l = 0; l < kWarpSize; ++l) f(l, p[pos + l]);
     }
     for (u32 l = 0; l < tail; ++l) f(l, p[pos + l]);
-    charge_scan<T>(len, full, tail);
+    charge_coalesced_loads<T>(local_, len);
   }
 
   /// Like scan_coalesced but also passes the element index:
@@ -164,7 +187,7 @@ class Warp {
       for (u32 l = 0; l < kWarpSize; ++l) f(l, p[pos + l], pos + l);
     }
     for (u32 l = 0; l < tail; ++l) f(l, p[pos + l], pos + l);
-    charge_scan<T>(len, full, tail);
+    charge_coalesced_loads<T>(local_, len);
   }
 
   /// Scattered warp store: lane l (if bit l of mask set) writes val[l] to
@@ -278,35 +301,6 @@ class Warp {
   }
 
  private:
-  /// Closed-form accounting for a coalesced scan of `len` elements in
-  /// `full` whole-warp chunks plus a `tail`-lane chunk: three counter adds
-  /// total, none inside the scan loop.
-  template <class T>
-  void charge_scan(u64 len, u64 full, u32 tail) {
-    local_.global_load_elems += len;
-    local_.global_load_bytes += len * sizeof(T);
-    local_.global_load_txns +=
-        full * detail::coalesced_txns(u64{kWarpSize} * sizeof(T)) +
-        (tail ? detail::coalesced_txns(static_cast<u64>(tail) * sizeof(T))
-              : 0);
-  }
-
-  template <class T>
-  void charge_coalesced_load(u32 active) {
-    local_.global_load_elems += active;
-    local_.global_load_bytes += static_cast<u64>(active) * sizeof(T);
-    local_.global_load_txns +=
-        detail::coalesced_txns(static_cast<u64>(active) * sizeof(T));
-  }
-
-  template <class T>
-  void charge_coalesced_store(u32 active) {
-    local_.global_store_elems += active;
-    local_.global_store_bytes += static_cast<u64>(active) * sizeof(T);
-    local_.global_store_txns +=
-        detail::coalesced_txns(static_cast<u64>(active) * sizeof(T));
-  }
-
   void charge_reduction(u32 active) {
     // Tree reduction: halve the active lanes each step.
     for (u32 w = active / 2; w >= 1; w /= 2) local_.shfl_ops += w;

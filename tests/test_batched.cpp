@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 #include "core/dr_topk.hpp"
 #include "data/distributions.hpp"
+#include "reference_select.hpp"
 #include "topk/batched.hpp"
 
 namespace drtopk::topk {
@@ -183,6 +185,103 @@ TEST(Batched, U64KeysAndLaneArrayPacking) {
   auto r = batched_topk<u64>(acc, segs);
   for (size_t i = 0; i < segs.size(); ++i)
     expect_segment_exact(segs[i], r.keys[i], "u64");
+}
+
+// ---------------------------------------------------------------------------
+// Emulation parity: batched_topk selects with nth_element + a sort of the
+// emitted prefix and charges staging/emission in closed form; the warp
+// programs in reference_select.hpp stage lane by lane and sort the whole
+// shared array. Keys, path counts, every KernelStats counter and the
+// simulated time must be identical.
+// ---------------------------------------------------------------------------
+
+/// Keys drawn from {0, 1, 2, 3}: nearly every selection boundary is a tie.
+template <class K>
+std::vector<K> tie_heavy(u64 n, u64 seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<K> v(n);
+  for (K& x : v) x = static_cast<K>(rng() % 4);
+  return v;
+}
+
+template <class K>
+std::vector<K> random_keys(u64 n, u64 seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<K> v(n);
+  for (K& x : v) x = static_cast<K>(rng());
+  return v;
+}
+
+template <class K>
+void expect_batched_parity(vgpu::Device& dev,
+                           const std::vector<BatchedSegment<K>>& segs,
+                           const std::string& what) {
+  Accum ref_acc(dev), acc(dev);
+  const std::span<const BatchedSegment<K>> ss(segs);
+  const auto ref = reference::batched_topk<K>(ref_acc, ss);
+  const auto got = batched_topk<K>(acc, ss);
+  ASSERT_EQ(ref.keys, got.keys) << what;
+  EXPECT_EQ(ref.launches, got.launches) << what;
+  EXPECT_EQ(ref.single_cta, got.single_cta) << what;
+  EXPECT_EQ(ref.multi_cta, got.multi_cta) << what;
+  EXPECT_EQ(ref.fallback, got.fallback) << what;
+  EXPECT_TRUE(ref_acc.stats() == acc.stats())
+      << what << "\nreference " << ref_acc.stats().to_string()
+      << "\nemulated  " << acc.stats().to_string();
+  EXPECT_EQ(ref_acc.sim_ms(), acc.sim_ms()) << what;
+  for (size_t i = 0; i < segs.size(); ++i)
+    expect_segment_exact(segs[i], got.keys[i], what.c_str());
+}
+
+template <class K>
+void batched_parity_cases(vgpu::Device& dev) {
+  const u64 cap = batched_single_cap<K>(dev.profile());
+  // Single-CTA problems: kmax in {1, n-1, n}, random and tie-heavy, each
+  // width its own problem with a selection-only rider sharing the sort.
+  for (const bool ties : {false, true}) {
+    for (const u64 n : {u64{2}, u64{33}, u64{1000}, u64{5000}}) {
+      const auto v = ties ? tie_heavy<K>(n, n) : random_keys<K>(n, n);
+      const std::span<const K> vs(v.data(), v.size());
+      for (const u64 k : {u64{1}, n - 1, n}) {
+        std::vector<BatchedSegment<K>> segs;
+        segs.push_back({vs, k, 0, false});
+        segs.push_back({vs, std::max<u64>(1, k / 2), 1, true});
+        segs.push_back({vs.subspan(1), k, 2, false});  // a second problem
+        expect_batched_parity(dev, segs,
+                              "single n=" + std::to_string(n) +
+                                  " k=" + std::to_string(k) +
+                                  " ties=" + std::to_string(ties));
+      }
+    }
+  }
+  // A multi-CTA segment (slices + merge) with a selection-only member
+  // riding its sort, next to a single-CTA segment, for kmax of 1 and the
+  // largest k the two-level path takes.
+  for (const bool ties : {false, true}) {
+    const u64 n = cap * 2 + 17;
+    const auto v = ties ? tie_heavy<K>(n, 5) : random_keys<K>(n, 5);
+    const std::span<const K> vs(v.data(), v.size());
+    const u64 kbig = cap / 4;
+    ASSERT_TRUE(batched_multi_fits<K>(dev.profile(), n, kbig));
+    for (const u64 k : {u64{1}, kbig}) {
+      std::vector<BatchedSegment<K>> segs;
+      segs.push_back({vs, k, 0, false});
+      segs.push_back({vs, std::max<u64>(1, k - 1), 1, true});
+      segs.push_back({vs.subspan(0, 777), k, 2, false});
+      expect_batched_parity(dev, segs,
+                            "multi k=" + std::to_string(k) +
+                                " ties=" + std::to_string(ties));
+    }
+  }
+}
+
+TEST(Batched, EmulationMatchesTheFullSortProgram) {
+  // One host thread and a multi-thread pool (CTAs run concurrently).
+  for (const u32 threads : {1u, 4u}) {
+    vgpu::Device dev(vgpu::GpuProfile::v100s(), threads);
+    batched_parity_cases<u32>(dev);
+    batched_parity_cases<u64>(dev);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@
 
 #include <algorithm>
 
+#include <random>
+
 #include "core/concat_batched.hpp"
 #include "core/dr_topk.hpp"
 #include "data/distributions.hpp"
+#include "reference_select.hpp"
 
 namespace drtopk::core {
 namespace {
@@ -517,6 +520,47 @@ TEST(SmallTopk, SingleLaunchMatchesReference) {
       EXPECT_EQ(topk::small_topk_shared<u32>(sel, vs, k, true).kth,
                 reference_topk(vs, k).back());
     }
+  }
+}
+
+template <class K>
+void expect_small_topk_parity(vgpu::Device& dev) {
+  // k in {1, n-1, n}, random and tie-heavy keys, full and selection-only:
+  // the host selection must reproduce the full-sort warp program's keys
+  // and every counter.
+  std::mt19937_64 rng(7);
+  for (const bool ties : {false, true}) {
+    for (const u64 n : {u64{1}, u64{2}, u64{33}, u64{1000}, u64{8192}}) {
+      std::vector<K> v(n);
+      for (K& x : v) x = static_cast<K>(ties ? rng() % 4 : rng());
+      const std::span<const K> vs(v.data(), v.size());
+      for (const u64 k : {u64{1}, n - 1, n}) {
+        if (k == 0) continue;
+        for (const bool sel : {false, true}) {
+          topk::Accum ref_acc(dev), acc(dev);
+          const auto ref =
+              topk::reference::small_topk_shared<K>(ref_acc, vs, k, sel);
+          const auto got = topk::small_topk_shared<K>(acc, vs, k, sel);
+          const std::string what = "n=" + std::to_string(n) +
+                                   " k=" + std::to_string(k) +
+                                   " sel=" + std::to_string(sel) +
+                                   " ties=" + std::to_string(ties);
+          ASSERT_EQ(ref.keys, got.keys) << what;
+          EXPECT_TRUE(ref.stats == got.stats)
+              << what << "\nreference " << ref.stats.to_string()
+              << "\nemulated  " << got.stats.to_string();
+          EXPECT_EQ(ref.sim_ms, got.sim_ms) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(SmallTopk, EmulationMatchesTheFullSortProgram) {
+  for (const u32 threads : {1u, 4u}) {
+    vgpu::Device dev(vgpu::GpuProfile::v100s(), threads);
+    expect_small_topk_parity<u32>(dev);
+    expect_small_topk_parity<u64>(dev);
   }
 }
 

@@ -275,6 +275,50 @@ TEST(ObsServe, EveryServedLaunchCarriesAStageLabel) {
   EXPECT_GT(total.kernels_launched, 0u);
 }
 
+TEST(ObsServe, StageLedgerCarriesBothClocks) {
+  // Every stage with launches carries host wall time next to its simulated
+  // time; the simulated column still sums to the device total bit for bit,
+  // and both clocks reach the table and the Prometheus/JSON exports.
+  auto v = data::generate(1 << 15, data::Distribution::kNormal, 33);
+  std::span<const u32> vs(v.data(), v.size());
+  vgpu::Device dev(vgpu::GpuProfile::v100s());
+  serve::ServerConfig cfg;
+  cfg.executors = 2;
+  serve::TopkServer server(dev, cfg);
+  std::vector<serve::Query> queries;
+  for (int i = 0; i < 32; ++i)
+    queries.push_back(serve::Query::view(vs, 16 + 48 * (i % 4)));
+  server.run_batch(std::move(queries));
+  server.drain();
+
+  const std::vector<vgpu::StageStats> stages = dev.stage_stats();
+  double sim_sum = 0.0;
+  bool saw_construct = false;
+  for (const vgpu::StageStats& st : stages) {
+    if (st.stats.kernels_launched == 0) continue;
+    EXPECT_GT(st.wall_ms, 0.0) << st.stage;
+    sim_sum += st.sim_ms;
+    saw_construct |= st.stage == "construct";
+  }
+  EXPECT_TRUE(saw_construct);
+  EXPECT_EQ(sim_sum, dev.total_sim_ms());
+
+  const std::string table = obs::stage_table(stages);
+  EXPECT_NE(table.find("dev_sim_ms"), std::string::npos);
+  EXPECT_NE(table.find("host_wall_ms"), std::string::npos);
+  const std::string prom = server.metrics_prometheus();
+  EXPECT_NE(prom.find("# TYPE vgpu_stage_wall_ms counter"), std::string::npos);
+  EXPECT_NE(prom.find("vgpu_stage_sim_ms{stage=\"construct\"}"),
+            std::string::npos);
+  EXPECT_NE(prom.find("vgpu_stage_wall_ms{stage=\"construct\"}"),
+            std::string::npos);
+  const std::string json = server.metrics_json();
+  EXPECT_NE(json.find("\"vgpu_stages\":{"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"construct\":{\"launches\":"), std::string::npos);
+  EXPECT_NE(json.find("\"wall_ms\":"), std::string::npos);
+  EXPECT_EQ(json.back(), '}');
+}
+
 TEST(ObsServe, HistogramPercentilesMatchExactSortPath) {
   // Two servers over the same deterministic workload: one snapshots
   // percentiles from the streaming histogram (default), one exact-sorts

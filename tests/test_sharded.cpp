@@ -224,12 +224,22 @@ TEST(Sharded, MetricsCarryShardLabels) {
             std::string::npos);
   // Histogram buckets splice the shard label next to le.
   EXPECT_NE(prom.find("_bucket{shard=\"0\",le="), std::string::npos);
+  // The stage ledgers of every device share one header per family.
+  EXPECT_NE(prom.find("vgpu_stage_wall_ms{shard=\"0\",stage=\"construct\"}"),
+            std::string::npos);
+  EXPECT_NE(prom.find("vgpu_stage_sim_ms{shard=\"merge\",stage=\"merge\"}"),
+            std::string::npos);
+  const size_t type_at = prom.find("# TYPE vgpu_stage_wall_ms counter");
+  ASSERT_NE(type_at, std::string::npos);
+  EXPECT_EQ(prom.find("# TYPE vgpu_stage_wall_ms counter", type_at + 1),
+            std::string::npos);
 
   const std::string json = srv.metrics_json();
   EXPECT_NE(json.find("\"serve_queries_completed{shard=\\\"0\\\"}\":"),
             std::string::npos);
   EXPECT_NE(json.find("\"sharded_merge_batches{shard=\\\"merge\\\"}\":"),
             std::string::npos);
+  EXPECT_NE(json.find("\"vgpu_stages{shard=\\\"1\\\"}\":{"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 }
